@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.artifacts.store import ArtifactStore, content_key
 from repro.metrics import MetricsRegistry, get_registry
+from repro.trace.injector import drop_injected
 from repro.trace.stream import DynamicTrace
 from repro.workloads import build_workload, get_workload
 
@@ -241,6 +242,9 @@ def compute_trace(
     memoized = _TRACE_MEMO.get(key)
     if memoized is not None:
         return memoized
+    # A new trace object cannot hit the injected-stream memo; free the
+    # last stream before this trace is loaded or emulated.
+    drop_injected()
     if store is not None:
         trace = store.get_trace(key)
         if trace is not None:

@@ -6,8 +6,11 @@ workloads, opening the artifact store, building
 ``Frame.sched_template`` caches — happens once per worker, not once per
 request.  Each worker is initialized with :func:`_init_worker` (which
 pre-imports everything a cell touches) and then serves batches for its
-whole lifetime; the in-worker trace memo and schedule-template caches
-(:data:`repro.artifacts.runner._TRACE_MEMO`) stay hot across jobs.
+whole lifetime; the in-worker trace memo
+(:data:`repro.artifacts.runner._TRACE_MEMO`), the last trace's injected
+uop stream (:func:`repro.trace.injector.inject_once`, so the configs of
+one member arriving back to back inject it once) and the
+schedule-template caches stay hot across jobs.
 
 Crash isolation: a worker that dies (OOM kill, segfault in a bad
 experiment) breaks the whole stdlib :class:`ProcessPoolExecutor`; the

@@ -5,6 +5,10 @@ record is decoded into uops, and the record's dynamic information (memory
 addresses, branch direction, indirect targets) is attached to the
 corresponding uops.  The result is the continuous micro-operation stream
 the Timing Model and rePLay Engine consume.
+
+The stream depends only on the trace, never on the configuration that
+consumes it, so :func:`inject_once` keeps the last trace's stream and
+hands it to every configuration of that trace (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -91,3 +95,42 @@ class MicroOpInjector:
         if not self.x86_count:
             return 0.0
         return self.uop_count / self.x86_count
+
+
+#: The injected-stream memo: exactly one slot, ``(trace, stream,
+#: uops_per_x86)`` for the last trace injected in this process.  Every
+#: in-repo caller runs the configurations of one trace back to back, so
+#: one slot catches every repeat; a slot per trace would keep a
+#: 7-12 MB stream alive for each trace a process has seen.
+_LAST_INJECTED: tuple[DynamicTrace, list[InjectedInstruction], float] | None = None
+
+
+def inject_once(trace: DynamicTrace) -> tuple[list[InjectedInstruction], float]:
+    """``trace``'s injected stream and its uops per x86 instruction.
+
+    Injects only when ``trace`` (by identity) is not the last trace
+    injected.  The stream is shared: every consumer reads it and copies
+    a uop before changing it, and a trace must not change once injected.
+    """
+    global _LAST_INJECTED
+    last = _LAST_INJECTED
+    if last is not None and last[0] is trace:
+        return last[1], last[2]
+    # Drop the old stream before building the new one, so the memo never
+    # holds two.
+    drop_injected()
+    stream = MicroOpInjector().inject_trace(trace)
+    ratio = sum(len(i.uops) for i in stream) / len(stream) if stream else 0.0
+    _LAST_INJECTED = (trace, stream, ratio)
+    return stream, ratio
+
+
+def drop_injected() -> None:
+    """Empty the memo slot.
+
+    Call before building another trace: the last trace's stream is dead
+    weight while the next one is emulated or decoded, and would raise
+    the process's peak memory by one stream.
+    """
+    global _LAST_INJECTED
+    _LAST_INJECTED = None
