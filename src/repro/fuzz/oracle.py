@@ -188,13 +188,21 @@ def _unpack_flags(word: int) -> tuple[bool, bool, bool, bool]:
 def _construct_frames(
     injected: list[InjectedInstruction], config: ConstructorConfig
 ) -> list[Frame]:
-    """All distinct frames the constructor emits over the retired stream."""
+    """All distinct frames the constructor emits over the retired stream.
+
+    A region whose path was already emitted is dropped before it is
+    frame-ified, as the sequencer's queue does (DESIGN.md §5).
+    """
     constructor = FrameConstructor(config)
     frames: list[Frame] = []
     seen: set[tuple] = set()
+
+    def unseen(path_key: tuple) -> bool:
+        return path_key not in seen
+
     for instr in injected:
-        frame = constructor.retire(instr)
-        if frame is not None and frame.path_key not in seen:
+        frame = constructor.retire(instr, unseen)
+        if frame is not None:
             seen.add(frame.path_key)
             frames.append(frame)
     return frames

@@ -11,7 +11,8 @@ branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.trace.injector import InjectedInstruction
 from repro.uops.uop import Uop, UopOp
@@ -86,25 +87,38 @@ class FrameConstructor:
         self.frames_emitted = 0
         self.frames_discarded = 0
 
-    def retire(self, instr: InjectedInstruction) -> Frame | None:
-        """Feed one retired instruction; returns a frame when one completes."""
-        record = instr.record
-        mnem = record.instruction.mnemonic
+    def retire(
+        self,
+        instr: InjectedInstruction,
+        wants: Callable[[tuple], bool] | None = None,
+    ) -> Frame | None:
+        """Feed one retired instruction; returns a frame when one completes.
 
+        ``wants``, when given, is asked with a completed region's path key
+        (:attr:`Frame.path_key`) before the region is frame-ified; a
+        region it declines is dropped unbuilt and ``None`` is returned.
+        """
+        record = instr.record
+        region = None
         # Would this instruction overflow the frame?  Close the current
         # region first (fall-through exit) and start fresh with it.
         if self._pending_uops + len(instr.uops) > self.config.max_uops:
-            frame = self._finish(end_next_pc=record.pc)
-            self._append(instr)
-            if self._ends_region(instr):
-                leftover = self._finish(end_next_pc=record.next_pc)
-                return frame or leftover
-            return frame
-
+            region = self._close(end_next_pc=record.pc)
         self._append(instr)
         if self._ends_region(instr):
-            return self._finish(end_next_pc=record.next_pc)
-        return None
+            closed = self._close(end_next_pc=record.next_pc)
+            # An overflow region already closed takes precedence; the
+            # one-instruction leftover is discarded either way.
+            region = region or closed
+        if region is None:
+            return None
+        pending, end_next_pc = region
+        if wants is not None and not wants(
+            (pending[0].record.pc, tuple(i.record.pc for i in pending))
+        ):
+            return None
+        self.frames_emitted += 1
+        return self._frameify(pending, end_next_pc)
 
     # ------------------------------------------------------------ helpers
 
@@ -134,8 +148,10 @@ class FrameConstructor:
             and record.next_pc <= self._pending[0].record.pc
         )
 
-    def _finish(self, end_next_pc: int) -> Frame | None:
-        """Close the pending region into a frame (None if too small)."""
+    def _close(
+        self, end_next_pc: int
+    ) -> tuple[list[InjectedInstruction], int] | None:
+        """Close the pending region (None if too small to be a frame)."""
         pending = self._pending
         self._pending = []
         pending_uops = self._pending_uops
@@ -143,9 +159,7 @@ class FrameConstructor:
         if not pending or pending_uops < self.config.min_uops:
             self.frames_discarded += bool(pending)
             return None
-        frame = self._frameify(pending, end_next_pc)
-        self.frames_emitted += 1
-        return frame
+        return pending, end_next_pc
 
     def _frameify(
         self, pending: list[InjectedInstruction], end_next_pc: int

@@ -77,10 +77,7 @@ class OptimizationQueue:
         Duplicate detection is against the cache and the in-flight stages,
         so an evicted path is naturally rebuilt when its region re-heats.
         """
-        self.drain(now)
-        if self.frame_cache.contains_path(frame.path_key):
-            return False
-        if any(f.path_key == frame.path_key for _, f in self._in_flight):
+        if not self.wants(frame.path_key, now):
             return False
         if self.optimizer is None:
             # Basic rePLay: frames are deposited immediately (paper §6.3).
@@ -97,6 +94,19 @@ class OptimizationQueue:
         self._in_flight.append((ready, frame))
         self._account(frame)
         return True
+
+    def wants(self, path_key: tuple, now: int) -> bool:
+        """Would :meth:`submit` take a frame with this path at ``now``?
+
+        Runs submit's duplicate checks, in submit's order, on the path
+        alone, so the constructor can skip building a frame that would
+        be discarded (DESIGN.md §5).  The depth check is not among them:
+        a frame dropped for depth is still built and counted.
+        """
+        self.drain(now)
+        if self.frame_cache.contains_path(path_key):
+            return False
+        return all(f.path_key != path_key for _, f in self._in_flight)
 
     def _account(self, frame: Frame) -> None:
         totals = self.totals

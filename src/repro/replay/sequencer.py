@@ -10,6 +10,7 @@ re-executing the region from the ICache.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.trace.injector import InjectedInstruction
@@ -281,15 +282,15 @@ class RePLaySequencer(ICacheSequencer):
         addresses = self._frame_addresses(template)
         events = self._exit_event(frame, template)
         train_events = self._train_events(frame)
-        base = self.index
-        records = [
-            self.injected[base + k].record for k in range(frame.x86_count)
-        ]
         if (
             self.verifier is not None
             and frame.opt_result is not None
             and frame.path_key not in self._verified_paths
         ):
+            base = self.index
+            records = [
+                self.injected[base + k].record for k in range(frame.x86_count)
+            ]
             self.verifier.verify_frame_instance(frame, records, self.tracker)
             self._verified_paths.add(frame.path_key)
         stats = self.stats
@@ -335,14 +336,18 @@ class RePLaySequencer(ICacheSequencer):
 
     # --------------------------------------------------------- retirement
 
-    def _retire_region(self, count: int, cycle: int, construct: bool = True) -> None:
-        """Feed retired instructions to the tracker and frame constructor."""
+    def _retire_region(self, count: int, cycle: int) -> None:
+        """Feed retired instructions to the tracker and frame constructor.
+
+        The constructor builds a frame only for a region the queue would
+        take now (DESIGN.md §5); most regions repeat a resident path.
+        """
+        wants = functools.partial(self.queue.wants, now=cycle)
         for _ in range(count):
             instr = self.injected[self.index]
-            if construct:
-                new_frame = self.constructor.retire(instr)
-                if new_frame is not None:
-                    self.queue.submit(new_frame, cycle)
+            new_frame = self.constructor.retire(instr, wants)
+            if new_frame is not None:
+                self.queue.submit(new_frame, cycle)
             if self.tracker is not None:
                 self.tracker.apply(instr.record)
             self.index += 1

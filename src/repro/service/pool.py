@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 
@@ -31,15 +32,37 @@ from repro.metrics.ledger import result_entry
 log = logging.getLogger("repro.service")
 
 
-def _init_worker(store_root: str | None) -> None:
+#: Seconds between a worker's checks that its node is still alive.
+PARENT_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Watchdog thread body: exit once the node that started us is gone.
+
+    A node killed with SIGKILL never shuts its pool down, and an idle
+    worker blocked on the call queue would then live on, reparented.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
+
+
+def _init_worker(store_root: str | None, parent_pid: int) -> None:
     """Warm one worker: import the world, open the store.
 
     Runs once per worker process.  After this, the first real cell pays
-    no import cost and the store is already resolved.
+    no import cost and the store is already resolved.  A daemon thread
+    ends the worker when its node (``parent_pid``) dies.
     """
     from repro.harness import experiment  # noqa: F401  (pulls the simulator)
     from repro.workloads import all_workloads
 
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(parent_pid,),
+        name="orphan-watchdog",
+        daemon=True,
+    ).start()
     all_workloads()  # force workload registration
     resolve_worker_store(store_root)
 
@@ -118,7 +141,7 @@ class WorkerPool:
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(self.store_root,),
+            initargs=(self.store_root, os.getpid()),
         )
         self.generation += 1
 

@@ -132,6 +132,32 @@ def test_serve_submit_sigterm_drain_no_orphans(server, tmp_path):
         assert not _alive(pid), f"worker {pid} orphaned after drain"
 
 
+def _running(pid: int) -> bool:
+    """Alive and not a zombie awaiting a reaper (the node that would
+    reap a dead worker is itself gone in the kill test)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:
+        return _alive(pid)
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_sigkilled_node_takes_its_workers_with_it(server):
+    proc, _port, worker_pids = server
+    assert worker_pids and all(_running(pid) for pid in worker_pids)
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.wait(timeout=10)
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline and any(map(_running, worker_pids)):
+        time.sleep(0.1)
+    survivors = [pid for pid in worker_pids if _running(pid)]
+    for pid in survivors:  # do not leak them into the rest of the run
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"workers {survivors} outlived their killed node"
+
+
 def test_submit_against_dead_port_fails_cleanly():
     result = subprocess.run(
         [
